@@ -8,20 +8,22 @@
 //! them back, which is exactly H-Store's semantics (a failed SQL
 //! statement aborts the surrounding transaction).
 //!
-//! Determinism: scans iterate in row-id order and grouping uses ordered
-//! maps, so identical inputs produce identical outputs — a prerequisite
-//! for command-log replay producing identical state (§3.2.5).
+//! Determinism: scans iterate in row-id order and groups finish in
+//! ascending key order (the `finish` module), so identical inputs produce
+//! identical outputs — a prerequisite for command-log replay producing
+//! identical state (§3.2.5).
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use sstore_common::hash::FxHashMap;
 
 use sstore_common::{Error, Result, RowId, TableId, Tuple, Value};
 use sstore_storage::{Catalog, Table};
 
-use crate::ast::{AggFunc, SortOrder};
+use crate::ast::AggFunc;
 use crate::expr::{AggSpec, BoundExpr, EvalCtx};
+use crate::finish::{Finisher, Groups};
 use crate::plan::{Access, BoundScan, BoundSelect, BoundStatement};
 
 /// One physical mutation performed by a statement.
@@ -340,263 +342,23 @@ pub fn run_select_rows_rowwise(
         rows = kept;
     }
 
-    // 4. Aggregation or plain projection.
-    let mut out: Vec<(Vec<Value>, Tuple)> = Vec::new(); // (sort keys, output row)
+    // 4. Aggregation or plain projection, streamed through ORDER BY +
+    // LIMIT.
+    let mut fin = Finisher::new(s);
     if s.grouped {
-        let mut groups = Groups::new(&s.group_by);
+        let mut groups = Groups::new(s);
+        let mut probe = Vec::with_capacity(s.group_by.len());
         for row in &rows {
             let ctx = EvalCtx { row, params, aggs: &[] };
-            groups.feed_row(s, &ctx)?;
+            groups.feed_row(&ctx, &mut probe)?;
         }
-        finish_groups(groups, s, params, &mut out)?;
+        groups.finish(&mut fin, params)?;
     } else {
         for row in &rows {
-            let ctx = EvalCtx { row, params, aggs: &[] };
-            out.push(project_one(s, &ctx)?);
+            fin.project(&EvalCtx { row, params, aggs: &[] })?;
         }
     }
-
-    // 5. ORDER BY + LIMIT.
-    Ok(sort_and_limit(out, s))
-}
-
-/// Ordered (deterministic) grouping state. The single-column key case is
-/// kept out of `Vec` keys: looking up a group costs no per-row key
-/// allocation, and for the common bare-column key no clone on group hits
-/// either — the key is cloned only when a new group is created.
-pub(crate) enum Groups {
-    /// Exactly one group-by expression.
-    Single(BTreeMap<Value, Vec<AggAcc>>),
-    /// Zero (implicit aggregation) or several group-by expressions.
-    Multi(BTreeMap<Vec<Value>, Vec<AggAcc>>),
-}
-
-impl Groups {
-    pub(crate) fn new(group_by: &[BoundExpr]) -> Groups {
-        if group_by.len() == 1 {
-            Groups::Single(BTreeMap::new())
-        } else {
-            Groups::Multi(BTreeMap::new())
-        }
-    }
-
-    /// Accumulates one input row into its group.
-    pub(crate) fn feed_row(&mut self, s: &BoundSelect, ctx: &EvalCtx<'_>) -> Result<()> {
-        let accs = match self {
-            Groups::Single(m) => {
-                if let BoundExpr::Column(c) = &s.group_by[0] {
-                    let key = ctx
-                        .row
-                        .get(*c)
-                        .ok_or_else(|| Error::Eval(format!("column index {c} out of range")))?;
-                    if !m.contains_key(key) {
-                        m.insert(key.clone(), new_accs(&s.aggs));
-                    }
-                    m.get_mut(key).expect("group just ensured")
-                } else {
-                    let key = s.group_by[0].eval(ctx)?;
-                    m.entry(key).or_insert_with(|| new_accs(&s.aggs))
-                }
-            }
-            Groups::Multi(m) => {
-                let mut key = Vec::with_capacity(s.group_by.len());
-                for g in &s.group_by {
-                    key.push(g.eval(ctx)?);
-                }
-                m.entry(key).or_insert_with(|| new_accs(&s.aggs))
-            }
-        };
-        for (acc, spec) in accs.iter_mut().zip(&s.aggs) {
-            acc.feed(spec, ctx)?;
-        }
-        Ok(())
-    }
-}
-
-fn new_accs(aggs: &[AggSpec]) -> Vec<AggAcc> {
-    aggs.iter().map(AggAcc::new).collect()
-}
-
-/// Finalizes every group: aggregate results, HAVING, projections, sort
-/// keys. `BTreeMap` iteration makes the output order deterministic
-/// (group keys ascending under [`Value::cmp_total`]) for both key
-/// layouts. Implicit aggregation over zero rows still yields one group.
-pub(crate) fn finish_groups(
-    groups: Groups,
-    s: &BoundSelect,
-    params: &[Value],
-    out: &mut Vec<(Vec<Value>, Tuple)>,
-) -> Result<()> {
-    match groups {
-        Groups::Single(m) => {
-            for (key, accs) in m {
-                finish_one(std::slice::from_ref(&key), accs, s, params, out)?;
-            }
-        }
-        Groups::Multi(mut m) => {
-            if m.is_empty() && s.group_by.is_empty() {
-                m.insert(Vec::new(), new_accs(&s.aggs));
-            }
-            for (key, accs) in m {
-                finish_one(&key, accs, s, params, out)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn finish_one(
-    key: &[Value],
-    accs: Vec<AggAcc>,
-    s: &BoundSelect,
-    params: &[Value],
-    out: &mut Vec<(Vec<Value>, Tuple)>,
-) -> Result<()> {
-    let agg_values: Vec<Value> =
-        accs.into_iter().zip(&s.aggs).map(|(acc, spec)| acc.finish_for(spec)).collect();
-    let ctx = EvalCtx { row: key, params, aggs: &agg_values };
-    if let Some(h) = &s.having {
-        if !h.eval_predicate(&ctx)? {
-            return Ok(());
-        }
-    }
-    out.push(project_one(s, &ctx)?);
-    Ok(())
-}
-
-/// Evaluates one output row: projections plus ORDER BY sort keys.
-pub(crate) fn project_one(s: &BoundSelect, ctx: &EvalCtx<'_>) -> Result<(Vec<Value>, Tuple)> {
-    let mut output = Vec::with_capacity(s.projections.len());
-    for p in &s.projections {
-        output.push(p.eval(ctx)?);
-    }
-    let mut sort_key = Vec::with_capacity(s.order_by.len());
-    for (e, _) in &s.order_by {
-        sort_key.push(e.eval(ctx)?);
-    }
-    Ok((sort_key, Tuple::new(output)))
-}
-
-/// ORDER BY (stable, so equal keys keep input order) + LIMIT. With both
-/// an ORDER BY and a LIMIT smaller than the input, a bounded heap
-/// ([`top_k`]) replaces the full sort; the two produce identical rows.
-pub(crate) fn sort_and_limit(out: Vec<(Vec<Value>, Tuple)>, s: &BoundSelect) -> Vec<Tuple> {
-    if s.order_by.is_empty() {
-        let mut rows_out: Vec<Tuple> = out.into_iter().map(|(_, t)| t).collect();
-        if let Some(limit) = s.limit {
-            rows_out.truncate(limit as usize);
-        }
-        return rows_out;
-    }
-    let dirs: Vec<SortOrder> = s.order_by.iter().map(|(_, d)| *d).collect();
-    match s.limit {
-        Some(k) if (k as usize) < out.len() => top_k(out, &dirs, k as usize),
-        _ => full_sort(out, &dirs, s.limit),
-    }
-}
-
-/// One ORDER BY key comparison under the per-key sort directions
-/// ([`Value::cmp_total`], so NULLs and NaNs are totally ordered).
-fn key_cmp(a: &[Value], b: &[Value], dirs: &[SortOrder]) -> std::cmp::Ordering {
-    for ((va, vb), dir) in a.iter().zip(b).zip(dirs) {
-        let ord = va.cmp_total(vb);
-        let ord = match dir {
-            SortOrder::Asc => ord,
-            SortOrder::Desc => ord.reverse(),
-        };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-fn full_sort(mut out: Vec<(Vec<Value>, Tuple)>, dirs: &[SortOrder], limit: Option<u64>) -> Vec<Tuple> {
-    out.sort_by(|(a, _), (b, _)| key_cmp(a, b, dirs));
-    let mut rows_out: Vec<Tuple> = out.into_iter().map(|(_, t)| t).collect();
-    if let Some(limit) = limit {
-        rows_out.truncate(limit as usize);
-    }
-    rows_out
-}
-
-/// ORDER BY + LIMIT k with a bounded max-heap: keeps the k smallest
-/// entries under (sort key, input position), O(n log k) instead of
-/// O(n log n) and never holding more than k+1 entries' worth of heap.
-///
-/// Output-identical to the stable full sort + truncate: stable sort's
-/// order *is* the total order (key, then input position), so the first
-/// k rows of the stable sort are exactly the k smallest entries of that
-/// total order, emitted ascending.
-fn top_k(out: Vec<(Vec<Value>, Tuple)>, dirs: &[SortOrder], k: usize) -> Vec<Tuple> {
-    let mut tk = TopK::new(dirs, k);
-    for (key, tuple) in out {
-        tk.push_with(key, move || tuple);
-    }
-    tk.finish()
-}
-
-struct Entry<'d> {
-    key: Vec<Value>,
-    seq: usize,
-    tuple: Tuple,
-    dirs: &'d [SortOrder],
-}
-impl Ord for Entry<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        key_cmp(&self.key, &other.key, self.dirs).then(self.seq.cmp(&other.seq))
-    }
-}
-impl PartialOrd for Entry<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl PartialEq for Entry<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Entry<'_> {}
-
-/// Streaming form of [`top_k`], usable mid-scan: the caller offers each
-/// row's sort key and a closure that builds its output tuple, and the
-/// closure only runs when the row actually enters the current top K —
-/// rows that don't qualify never materialize their output. The sequence
-/// counter advances on every offer, so ties resolve exactly as the
-/// stable full sort would.
-pub(crate) struct TopK<'d> {
-    dirs: &'d [SortOrder],
-    k: usize,
-    seq: usize,
-    heap: std::collections::BinaryHeap<Entry<'d>>,
-}
-
-impl<'d> TopK<'d> {
-    pub(crate) fn new(dirs: &'d [SortOrder], k: usize) -> Self {
-        TopK { dirs, k, seq: 0, heap: std::collections::BinaryHeap::new() }
-    }
-
-    pub(crate) fn push_with(&mut self, key: Vec<Value>, tuple: impl FnOnce() -> Tuple) {
-        let seq = self.seq;
-        self.seq += 1;
-        if self.k == 0 {
-            return;
-        }
-        if self.heap.len() == self.k {
-            // Max-heap: the root is the current worst of the best k.
-            let worst = self.heap.peek().expect("non-empty heap");
-            if key_cmp(&key, &worst.key, self.dirs).then(seq.cmp(&worst.seq)).is_ge() {
-                return;
-            }
-            self.heap.pop();
-        }
-        self.heap.push(Entry { key, seq, tuple: tuple(), dirs: self.dirs });
-    }
-
-    pub(crate) fn finish(self) -> Vec<Tuple> {
-        self.heap.into_sorted_vec().into_iter().map(|e| e.tuple).collect()
-    }
+    Ok(fin.finish())
 }
 
 /// Streaming aggregate accumulator. Fields are crate-visible so the
@@ -683,10 +445,10 @@ impl AggAcc {
         Ok(())
     }
 
-    /// Finalizes the accumulator for the spec it was fed with.
-    /// SUM/AVG/MIN/MAX over zero (non-NULL) inputs yield NULL; COUNT
-    /// yields 0.
-    pub(crate) fn finish_for(self, spec: &AggSpec) -> Value {
+    /// Finalizes the accumulator for the spec it was fed with (MIN/MAX
+    /// move their value out). SUM/AVG/MIN/MAX over zero (non-NULL)
+    /// inputs yield NULL; COUNT yields 0.
+    pub(crate) fn finish_for(&mut self, spec: &AggSpec) -> Value {
         match spec.func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => {
@@ -707,8 +469,8 @@ impl AggAcc {
                     Value::float(self.sum_f / self.count as f64)
                 }
             }
-            AggFunc::Min => self.min.unwrap_or(Value::Null),
-            AggFunc::Max => self.max.unwrap_or(Value::Null),
+            AggFunc::Min => self.min.take().unwrap_or(Value::Null),
+            AggFunc::Max => self.max.take().unwrap_or(Value::Null),
         }
     }
 }
@@ -912,6 +674,26 @@ mod tests {
     }
 
     #[test]
+    fn insert_select_places_reordered_and_missing_columns() {
+        let mut c = setup();
+        c.create_table(
+            "t3",
+            TableKind::Base,
+            Schema::new(vec![
+                sstore_common::Column::nullable("a", DataType::Int),
+                sstore_common::Column::nullable("b", DataType::Int),
+                sstore_common::Column::nullable("c", DataType::Int),
+            ])
+            .unwrap(),
+        )
+        .unwrap();
+        q(&mut c, "INSERT INTO t3 (c, a) SELECT phone, ts FROM votes WHERE phone = 100", &[]);
+        q(&mut c, "INSERT INTO t3 (a, b, c) SELECT phone, ts, contestant FROM votes WHERE phone = 101", &[]);
+        let r = q(&mut c, "SELECT a, b, c FROM t3 ORDER BY a", &[]);
+        assert_eq!(r.rows, vec![tuple![10i64, Value::Null, 100i64], tuple![101i64, 11i64, 2i64]]);
+    }
+
+    #[test]
     fn update_with_index_and_effects() {
         let mut c = setup();
         let (r, fx) = q_fx(
@@ -1026,7 +808,7 @@ mod tests {
         let a = q(&mut c, "SELECT contestant, COUNT(*) FROM votes GROUP BY contestant", &[]);
         let b = q(&mut c, "SELECT contestant, COUNT(*) FROM votes GROUP BY contestant", &[]);
         assert_eq!(a.rows, b.rows);
-        // BTreeMap grouping: keys ascend.
+        // Groups finish in ascending key order.
         assert_eq!(a.int_column(0).unwrap(), vec![1, 2, 3]);
     }
 }

@@ -25,10 +25,12 @@
 //! columnar batches and filtered/aggregated with tight per-column loops,
 //! falling back to per-row [`expr::BoundExpr`] evaluation for shapes the
 //! fast paths don't cover. Joins, index point lookups, and every DML
-//! statement stay on the row executor. Results are bit-identical to the
-//! row path (same row-id scan order, same ordered grouping), so
-//! command-log replay is unaffected; set `SSTORE_NO_COLUMNAR=1` to
-//! force the row path (used for before/after benchmarking).
+//! statement stay on the row executor. Both executors finish results
+//! through one shared finisher (grouping state, HAVING, projection,
+//! ORDER BY / LIMIT), so results are bit-identical (same row-id scan
+//! order, groups finished in ascending key order) and command-log
+//! replay is unaffected; set `SSTORE_NO_COLUMNAR=1` to force the row
+//! path (used for before/after benchmarking).
 //!
 //! [`Catalog`]: sstore_storage::Catalog
 
@@ -36,6 +38,7 @@ pub mod ast;
 pub mod batch;
 pub mod exec;
 pub mod expr;
+mod finish;
 pub mod lexer;
 pub mod parser;
 pub mod plan;

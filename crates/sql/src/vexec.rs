@@ -13,9 +13,9 @@
 //! replay must reproduce identical state, and the differential proptest
 //! in `tests/prop_columnar.rs` pins it):
 //!
-//! * scans walk the same row-id order, grouping uses the same ordered
-//!   [`Groups`] maps, and sorting/LIMIT share the row path's code, so
-//!   successful results are bit-identical;
+//! * scans walk the same row-id order, and grouping, per-group
+//!   finishing and ORDER BY/LIMIT share the row path's code
+//!   (the `finish` module), so successful results are bit-identical;
 //! * predicate fast paths reproduce 3VL exactly, including Kleene
 //!   short-circuit *error* behavior: `AND`'s right side is only
 //!   evaluated where the left is not FALSE (`OR`: not TRUE), mirrored
@@ -35,17 +35,16 @@
 //!   column kernels — typed Int/Float arithmetic loops with the row
 //!   path's checked-overflow and division-error behavior, row-wise
 //!   fallback for everything else;
-//! * **hash group-by** ([`HashGroups`]): group keys are interned into
-//!   dense accumulator slots through a hash map during the scan (in
-//!   ascending row order, preserving float accumulation order), then
-//!   poured into the row path's ordered [`Groups`] maps at the output
-//!   edge, so HAVING, projection, and emission order are byte-for-byte
-//!   the row path's ([`Value`]'s `Hash` is consistent with its
-//!   `cmp_total`-based `Eq`, so the hash map merges exactly the keys the
-//!   BTreeMap would);
-//! * **top-K** lives in [`crate::exec::sort_and_limit`] (shared with the
-//!   row path): ORDER BY + LIMIT k keeps a bounded heap instead of
-//!   sorting everything.
+//! * **hash group-by**: each batch's group keys are interned into the
+//!   shared `Groups` slots (a single Int-typed key hashes raw `i64`s),
+//!   then aggregates accumulate column-at-a-time over the batch's
+//!   (row, slot) pairs, in ascending row order so float sums match the
+//!   row path. At the end the slots finish in ascending key order
+//!   through the same `Finisher` as the row path, so HAVING,
+//!   projection and emission order are the row path's;
+//! * **top-K**: non-grouped rows stream into the `Finisher` during
+//!   the scan. Under ORDER BY + LIMIT k it keeps a bounded heap, and a
+//!   row that does not enter it never builds its output tuple.
 //!
 //! The one intentional divergence: when several subexpressions would
 //! each raise a runtime error, batch-at-a-time evaluation may surface a
@@ -63,13 +62,13 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-use sstore_common::hash::FxHashMap;
 use sstore_common::{DataType, Error, Result, Tuple, Value};
 use sstore_storage::{Catalog, TableKind};
 
-use crate::ast::{AggFunc, BinOp, SortOrder};
+use crate::ast::{AggFunc, BinOp};
 use crate::batch::{self, Col, ColumnarBatch, FallbackReason, NullMask, SelVec, BATCH_CAPACITY};
-use crate::exec::{finish_groups, sort_and_limit, AggAcc, Groups, TopK};
+use crate::exec::AggAcc;
+use crate::finish::{Finisher, Groups};
 use crate::expr::{value_to_truth, AggSpec, BoundExpr, EvalCtx};
 use crate::plan::{Access, BoundSelect};
 
@@ -199,7 +198,7 @@ pub fn run_select_columnar(
     // the projections and sort keys. (A grouped query's projections and
     // ORDER BY are bound against the group-key row + aggregate results,
     // not table columns, so they must NOT be compiled here — they run in
-    // `finish_groups` exactly as on the row path.)
+    // the shared finisher exactly as on the row path.)
     let key_kernels: Vec<EKernel> =
         if grouped { s.group_by.iter().map(|e| compile_expr(e, &dtypes)).collect() } else { Vec::new() };
     let agg_kernels: Vec<Option<EKernel>> = if grouped {
@@ -239,18 +238,15 @@ pub fn run_select_columnar(
     wanted.sort_unstable();
     wanted.dedup();
 
-    let mut out: Vec<(Vec<Value>, Tuple)> = Vec::new();
+    // Non-grouped rows stream into the finisher during the scan, so a
+    // row outside the current top K never builds its output tuple.
+    let mut fin = Finisher::new(s);
     let mut accs: Vec<AggAcc> = if implicit { s.aggs.iter().map(AggAcc::new).collect() } else { Vec::new() };
-    let mut hash_groups = if grouped { Some(HashGroups::new()) } else { None };
-    // ORDER BY + LIMIT without grouping: feed a bounded heap during the
-    // scan so rows outside the current top K never build their output
-    // tuple. Identical rows to sort_and_limit (same heap, same
-    // tie-stability sequence).
-    let dirs: Vec<SortOrder> = s.order_by.iter().map(|(_, d)| *d).collect();
-    let mut topk = match s.limit {
-        Some(k) if !s.grouped && !s.order_by.is_empty() => Some(TopK::new(&dirs, k as usize)),
-        _ => None,
-    };
+    let mut groups = if grouped { Some(Groups::new(s)) } else { None };
+    // Reused buffers: a row's sort key or group key, and the (row, slot)
+    // pairs of a batch's grouped rows.
+    let mut key: Vec<Value> = Vec::new();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
 
     let mut cursor = table.scan_chunks();
     let mut rows: Vec<&[Value]> = Vec::with_capacity(BATCH_CAPACITY);
@@ -309,7 +305,7 @@ pub fn run_select_columnar(
                     }
                 }
             }
-        } else if let Some(g) = &mut hash_groups {
+        } else if let Some(g) = &mut groups {
             if sel.any() {
                 let kouts: Vec<VOut> = key_kernels
                     .iter()
@@ -319,7 +315,8 @@ pub fn run_select_columnar(
                     .iter()
                     .map(|ok| ok.as_ref().map(|k| eval_kernel(k, &b, &rows, params, &sel)).transpose())
                     .collect::<Result<_>>()?;
-                g.feed_batch(&s.aggs, &kouts, &aouts, &sel)?;
+                intern_batch(g, &kouts, &sel, &mut key, &mut pairs);
+                feed_aggs(g, &s.aggs, &aouts, &pairs)?;
             }
         } else if sel.any() {
             let pouts: Vec<VOut> = proj_kernels
@@ -330,34 +327,20 @@ pub fn run_select_columnar(
                 .iter()
                 .map(|k| eval_kernel(k, &b, &rows, params, &sel))
                 .collect::<Result<_>>()?;
-            if let Some(tk) = &mut topk {
-                for i in sel.iter_ones() {
-                    let sort_key: Vec<Value> = souts.iter().map(|o| o.value_at(i)).collect();
-                    tk.push_with(sort_key, || {
-                        Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect::<Vec<_>>())
-                    });
-                }
-            } else {
-                for i in sel.iter_ones() {
-                    let sort_key: Vec<Value> = souts.iter().map(|o| o.value_at(i)).collect();
-                    let tuple = Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect::<Vec<_>>());
-                    out.push((sort_key, tuple));
-                }
+            for i in sel.iter_ones() {
+                key.clear();
+                key.extend(souts.iter().map(|o| o.value_at(i)));
+                fin.offer(&key, || Ok(Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect())))?;
             }
         }
     }
 
-    if let Some(tk) = topk {
-        return Ok(tk.finish());
-    }
     if implicit {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert(Vec::new(), accs);
-        finish_groups(Groups::Multi(m), s, params, &mut out)?;
-    } else if let Some(g) = hash_groups {
-        finish_groups(g.into_groups(s.group_by.len()), s, params, &mut out)?;
+        fin.group(&[], &mut accs, params)?;
+    } else if let Some(g) = groups {
+        g.finish(&mut fin, params)?;
     }
-    Ok(sort_and_limit(out, s))
+    Ok(fin.finish())
 }
 
 /// Typed SUM/AVG/MIN/MAX accumulation over the selected rows of an
@@ -829,175 +812,31 @@ fn arith_float<'a>(
 // Hash group-by
 // ----------------------------------------------------------------------
 
-/// Group-key interning map. The variant is chosen on first use from the
-/// key kernel's output kind and never changes: a kernel's output kind
-/// depends only on column dtypes and statement constants, both fixed
-/// for the statement's lifetime, so every batch takes the same arm (the
-/// `unreachable!`s below enforce it).
-enum KeyMap {
-    Unset,
-    /// Single Int-typed key: raw `i64` hashing, NULL key in its own
-    /// slot.
-    Int { map: FxHashMap<i64, usize>, null_slot: Option<usize> },
-    /// Single key of any other kind. [`Value`]'s `Hash` is consistent
-    /// with its `cmp_total`-based `Eq` (`Int(1) == Float(1.0)`, both
-    /// hash as the same f64 bits), so this map merges exactly the keys
-    /// the row path's BTreeMap merges.
-    Single(FxHashMap<Value, usize>),
-    /// Several group-by expressions.
-    Multi(FxHashMap<Vec<Value>, usize>),
-}
-
-/// Hash-based GROUP BY accumulation. Keys are interned into dense slots
-/// during the scan; aggregates accumulate per slot in ascending row
-/// order (so float sums and overflow points match the row path); at the
-/// output edge the slots pour into the row path's ordered [`Groups`]
-/// maps, making HAVING, projection, and emission order byte-for-byte
-/// the row path's. Like the row path, the *first-seen* key value is the
-/// group's representative (`Int(1)` then `Float(1.0)` keeps `Int(1)`).
-struct HashGroups {
-    map: KeyMap,
-    /// Interned key per slot (single-key queries use `keys[slot][0]`).
-    keys: Vec<Vec<Value>>,
-    accs: Vec<Vec<AggAcc>>,
-    /// Reused multi-key probe buffer; cloned only on new-group insert.
-    scratch: Vec<Value>,
-    /// Reused per-batch (row, slot) pairs: the key pass interns every
-    /// selected row's group, then the aggregate pass runs one typed loop
-    /// per aggregate over these pairs (column-at-a-time accumulation).
-    pairs: Vec<(u32, u32)>,
-}
-
-impl HashGroups {
-    fn new() -> Self {
-        HashGroups {
-            map: KeyMap::Unset,
-            keys: Vec::new(),
-            accs: Vec::new(),
-            scratch: Vec::new(),
-            pairs: Vec::new(),
-        }
-    }
-
-    fn new_slot(keys: &mut Vec<Vec<Value>>, accs: &mut Vec<Vec<AggAcc>>, key: Vec<Value>, aggs: &[AggSpec]) -> usize {
-        let slot = keys.len();
-        keys.push(key);
-        accs.push(aggs.iter().map(AggAcc::new).collect());
-        slot
-    }
-
-    fn feed_batch(
-        &mut self,
-        aggs: &[AggSpec],
-        kouts: &[VOut<'_>],
-        aouts: &[Option<VOut<'_>>],
-        sel: &SelVec,
-    ) -> Result<()> {
-        self.pairs.clear();
-        if kouts.len() == 1 {
-            if let Some((kv, kn)) = int_key_view(&kouts[0]) {
-                if matches!(self.map, KeyMap::Unset) {
-                    self.map = KeyMap::Int { map: FxHashMap::default(), null_slot: None };
-                }
-                let KeyMap::Int { map, null_slot } = &mut self.map else {
-                    unreachable!("group-key kernel changed output kind across batches")
-                };
-                for i in sel.iter_ones() {
-                    let slot = if kn.get(i) {
-                        *null_slot.get_or_insert_with(|| {
-                            Self::new_slot(&mut self.keys, &mut self.accs, vec![Value::Null], aggs)
-                        })
-                    } else {
-                        let k = kv[i];
-                        match map.get(&k) {
-                            Some(&slot) => slot,
-                            None => {
-                                let slot = Self::new_slot(
-                                    &mut self.keys,
-                                    &mut self.accs,
-                                    vec![Value::Int(k)],
-                                    aggs,
-                                );
-                                map.insert(k, slot);
-                                slot
-                            }
-                        }
-                    };
-                    self.pairs.push((i as u32, slot as u32));
-                }
-            } else {
-                if matches!(self.map, KeyMap::Unset) {
-                    self.map = KeyMap::Single(FxHashMap::default());
-                }
-                let KeyMap::Single(map) = &mut self.map else {
-                    unreachable!("group-key kernel changed output kind across batches")
-                };
-                for i in sel.iter_ones() {
-                    let key = kouts[0].value_at(i);
-                    let slot = match map.get(&key) {
-                        Some(&slot) => slot,
-                        None => {
-                            let slot = Self::new_slot(
-                                &mut self.keys,
-                                &mut self.accs,
-                                vec![key.clone()],
-                                aggs,
-                            );
-                            map.insert(key, slot);
-                            slot
-                        }
-                    };
-                    self.pairs.push((i as u32, slot as u32));
-                }
-            }
-        } else {
-            if matches!(self.map, KeyMap::Unset) {
-                self.map = KeyMap::Multi(FxHashMap::default());
-            }
-            let KeyMap::Multi(map) = &mut self.map else {
-                unreachable!("multi-key query with single-key map")
-            };
+/// Interns the group key of every selected row of a batch, recording
+/// (row, slot) pairs in ascending row order. `probe` is a reused key
+/// buffer. A single Int-typed key hashes raw `i64`s.
+fn intern_batch(
+    groups: &mut Groups<'_>,
+    kouts: &[VOut<'_>],
+    sel: &SelVec,
+    probe: &mut Vec<Value>,
+    pairs: &mut Vec<(u32, u32)>,
+) {
+    pairs.clear();
+    pairs.reserve(sel.count());
+    if let [k] = kouts {
+        if let Some((kv, kn)) = int_key_view(k) {
             for i in sel.iter_ones() {
-                self.scratch.clear();
-                for k in kouts {
-                    self.scratch.push(k.value_at(i));
-                }
-                let slot = match map.get(self.scratch.as_slice()) {
-                    Some(&slot) => slot,
-                    None => {
-                        let slot = Self::new_slot(
-                            &mut self.keys,
-                            &mut self.accs,
-                            self.scratch.clone(),
-                            aggs,
-                        );
-                        map.insert(self.scratch.clone(), slot);
-                        slot
-                    }
-                };
-                self.pairs.push((i as u32, slot as u32));
+                let slot = groups.intern_int((!kn.get(i)).then(|| kv[i]));
+                pairs.push((i as u32, slot as u32));
             }
+            return;
         }
-        feed_aggs(&mut self.accs, aggs, aouts, &self.pairs)
     }
-
-    /// Pours the hash slots into the row path's ordered maps. Slot
-    /// order is first-seen order; the BTreeMap re-establishes the
-    /// ascending `cmp_total` emission order. Keys are unique by
-    /// construction (the hash map interned them under the same `Eq`),
-    /// so no insert overwrites.
-    fn into_groups(self, group_by_len: usize) -> Groups {
-        if group_by_len == 1 {
-            Groups::Single(
-                self.keys
-                    .into_iter()
-                    .zip(self.accs)
-                    .map(|(mut k, a)| (k.pop().expect("single-key slot"), a))
-                    .collect(),
-            )
-        } else {
-            Groups::Multi(self.keys.into_iter().zip(self.accs).collect())
-        }
+    for i in sel.iter_ones() {
+        probe.clear();
+        probe.extend(kouts.iter().map(|k| k.value_at(i)));
+        pairs.push((i as u32, groups.intern(probe) as u32));
     }
 }
 
@@ -1021,7 +860,7 @@ fn int_key_view<'v>(out: &'v VOut<'_>) -> Option<(&'v [i64], &'v NullMask)> {
 /// batch — error presence always matches, since both paths touch the
 /// same pairs up to the first error.
 fn feed_aggs(
-    accs: &mut [Vec<AggAcc>],
+    groups: &mut Groups<'_>,
     aggs: &[AggSpec],
     aouts: &[Option<VOut<'_>>],
     pairs: &[(u32, u32)],
@@ -1030,7 +869,7 @@ fn feed_aggs(
         let Some(o) = out else {
             // COUNT(*): count the row, no value needed.
             for &(_, slot) in pairs {
-                accs[slot as usize][j].count += 1;
+                groups.acc(slot, j).count += 1;
             }
             continue;
         };
@@ -1042,14 +881,14 @@ fn feed_aggs(
                 AggFunc::Count => {
                     for &(i, slot) in pairs {
                         if side.int_at(i as usize).is_some() {
-                            accs[slot as usize][j].count += 1;
+                            groups.acc(slot, j).count += 1;
                         }
                     }
                 }
                 AggFunc::Sum | AggFunc::Avg => {
                     for &(i, slot) in pairs {
                         if let Some(v) = side.int_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
+                            let acc = groups.acc(slot, j);
                             acc.count += 1;
                             acc.sum_i = acc
                                 .sum_i
@@ -1062,7 +901,7 @@ fn feed_aggs(
                 AggFunc::Min => {
                     for &(i, slot) in pairs {
                         if let Some(v) = side.int_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
+                            let acc = groups.acc(slot, j);
                             acc.count += 1;
                             match &mut acc.min {
                                 Some(Value::Int(m)) => {
@@ -1079,7 +918,7 @@ fn feed_aggs(
                 AggFunc::Max => {
                     for &(i, slot) in pairs {
                         if let Some(v) = side.int_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
+                            let acc = groups.acc(slot, j);
                             acc.count += 1;
                             match &mut acc.max {
                                 Some(Value::Int(m)) => {
@@ -1098,14 +937,14 @@ fn feed_aggs(
                 AggFunc::Count => {
                     for &(i, slot) in pairs {
                         if side.f64_at(i as usize).is_some() {
-                            accs[slot as usize][j].count += 1;
+                            groups.acc(slot, j).count += 1;
                         }
                     }
                 }
                 AggFunc::Sum | AggFunc::Avg => {
                     for &(i, slot) in pairs {
                         if let Some(v) = side.f64_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
+                            let acc = groups.acc(slot, j);
                             acc.count += 1;
                             acc.saw_float = true;
                             acc.sum_f += v;
@@ -1115,7 +954,7 @@ fn feed_aggs(
                 AggFunc::Min => {
                     for &(i, slot) in pairs {
                         if let Some(v) = side.f64_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
+                            let acc = groups.acc(slot, j);
                             acc.count += 1;
                             match &mut acc.min {
                                 Some(Value::Float(m)) => {
@@ -1132,7 +971,7 @@ fn feed_aggs(
                 AggFunc::Max => {
                     for &(i, slot) in pairs {
                         if let Some(v) = side.f64_at(i as usize) {
-                            let acc = &mut accs[slot as usize][j];
+                            let acc = groups.acc(slot, j);
                             acc.count += 1;
                             match &mut acc.max {
                                 Some(Value::Float(m)) => {
@@ -1154,7 +993,7 @@ fn feed_aggs(
                 for &(i, slot) in pairs {
                     let v = o.value_at(i as usize);
                     if !v.is_null() {
-                        accs[slot as usize][j].feed_value(spec, v)?;
+                        groups.acc(slot, j).feed_value(spec, v)?;
                     }
                 }
             }

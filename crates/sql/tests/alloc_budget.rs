@@ -1,0 +1,171 @@
+//! Allocation budget for the voter leaderboard refreshes (paper §4.6).
+//!
+//! Each `maintain` batch re-runs three `INSERT … SELECT … ORDER BY …
+//! LIMIT 3` statements, and they dominate its cost. What they cost is
+//! heap allocation, not arithmetic, so this binary counts allocations
+//! with a counting global allocator and holds each statement to a
+//! ceiling. Allocation counts are deterministic, unlike timings, which
+//! makes this the guard against the result finisher drifting back to
+//! per-input-row or per-group allocation.
+//!
+//! Shapes and sizes follow the voter app: a 100-row trending window
+//! grouped by contestant, and a 200-row `vote_counts` table ranked
+//! both ways. Both tables are past `COLUMNAR_MIN_ROWS`, so these run
+//! the columnar executor (the test checks that its batch counter moves);
+//! the row executor shares the finisher and is held to the same
+//! ceilings.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sstore_common::{DataType, Schema, Tuple, Value};
+use sstore_sql::plan::BoundStatement;
+use sstore_sql::{batch, execute, vexec, Planner};
+use sstore_storage::{Catalog, TableKind};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the slot may already be gone during thread teardown.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+const CONTESTANTS: i64 = 200;
+const WINDOW: i64 = 100;
+
+/// Deterministic pseudo-random stream (64-bit LCG, high bits).
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: i64) -> i64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as i64
+    }
+}
+
+fn setup() -> Catalog {
+    let mut c = Catalog::new();
+    let mut rng = Lcg(7);
+    let w = c
+        .create_table("w_trend", TableKind::Window, Schema::of(&[("contestant", DataType::Int)]))
+        .unwrap();
+    for _ in 0..WINDOW {
+        w.insert(Tuple::new(vec![Value::Int(1 + rng.below(CONTESTANTS))])).unwrap();
+    }
+    let vc = c
+        .create_table(
+            "vote_counts",
+            TableKind::Base,
+            Schema::of(&[("contestant", DataType::Int), ("cnt", DataType::Int)]),
+        )
+        .unwrap();
+    for id in 1..=CONTESTANTS {
+        vc.insert(Tuple::new(vec![Value::Int(id), Value::Int(rng.below(50))])).unwrap();
+    }
+    c.create_table(
+        "leaderboard",
+        TableKind::Base,
+        Schema::of(&[("kind", DataType::Text), ("contestant", DataType::Int), ("cnt", DataType::Int)]),
+    )
+    .unwrap();
+    c
+}
+
+/// Highest allocation count of `fill` over several executions, each
+/// after `clear` (not counted) empties its leaderboard rows, and the
+/// number of columnar batches the fills materialized.
+fn max_allocs(c: &mut Catalog, clear: &BoundStatement, fill: &BoundStatement) -> (u64, u64) {
+    let mut worst = 0;
+    let mut batches = 0;
+    for _ in 0..20 {
+        let mut fx = Vec::new();
+        execute(c, clear, &[], &mut fx).unwrap();
+        fx.clear();
+        batch::take_batch_count();
+        let before = allocs();
+        let r = execute(c, fill, &[], &mut fx).unwrap();
+        worst = worst.max(allocs() - before);
+        batches += batch::take_batch_count();
+        assert_eq!(r.rows_affected, 3);
+    }
+    (worst, batches)
+}
+
+/// (name, clear, fill, ceiling). Ceilings leave some headroom over the
+/// measured counts (a few dozen each); before the shared finisher these
+/// statements made several hundred allocations per execution.
+const CASES: [(&str, &str, &str, u64); 3] = [
+    (
+        "fill_trend",
+        "DELETE FROM leaderboard WHERE kind = 'trend'",
+        "INSERT INTO leaderboard (kind, contestant, cnt) \
+         SELECT 'trend', contestant, COUNT(*) FROM w_trend \
+         GROUP BY contestant ORDER BY COUNT(*) DESC, contestant LIMIT 3",
+        80,
+    ),
+    (
+        "fill_top",
+        "DELETE FROM leaderboard WHERE kind = 'top'",
+        "INSERT INTO leaderboard (kind, contestant, cnt) \
+         SELECT 'top', contestant, cnt FROM vote_counts ORDER BY cnt DESC, contestant LIMIT 3",
+        80,
+    ),
+    (
+        "fill_bottom",
+        "DELETE FROM leaderboard WHERE kind = 'bottom'",
+        "INSERT INTO leaderboard (kind, contestant, cnt) \
+         SELECT 'bottom', contestant, cnt FROM vote_counts ORDER BY cnt ASC, contestant LIMIT 3",
+        80,
+    ),
+];
+
+#[test]
+fn leaderboard_refreshes_stay_within_allocation_budget() {
+    let mut c = setup();
+    let mut over = Vec::new();
+    for rowwise in [false, true] {
+        vexec::force_rowwise(rowwise);
+        for (name, clear, fill, ceiling) in CASES {
+            let clear = Planner::new(&c).plan_sql(clear).unwrap();
+            let fill = Planner::new(&c).plan_sql(fill).unwrap();
+            let (n, batches) = max_allocs(&mut c, &clear, &fill);
+            // The two passes must measure different executors.
+            assert_eq!(batches > 0, !rowwise, "{name} rowwise={rowwise}: {batches} columnar batches");
+            eprintln!("{name} (rowwise={rowwise}): {n} allocations per execution (ceiling {ceiling})");
+            if n > ceiling {
+                over.push(format!("{name} rowwise={rowwise}: {n} > {ceiling}"));
+            }
+        }
+    }
+    vexec::force_rowwise(false);
+    assert!(over.is_empty(), "allocation ceilings exceeded: {over:?}");
+}
