@@ -73,6 +73,9 @@ const CASES: &[(&str, &str)] = &[
     ("group_by_expr", "SELECT v % 10, COUNT(*), MAX(k) FROM t GROUP BY v % 10"),
     ("project_expr", "SELECT v + 1 FROM t"),
     ("topk", "SELECT k, v FROM t ORDER BY v DESC, k LIMIT 10"),
+    // `k` ascends with the scan: every row enters the top 10 and evicts
+    // the worst kept row, the top-K's most expensive input order.
+    ("topk_enter_all", "SELECT k, v FROM t ORDER BY k DESC LIMIT 10"),
 ];
 
 fn median(mut xs: Vec<f64>) -> f64 {

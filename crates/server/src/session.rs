@@ -256,7 +256,7 @@ impl Session<'_> {
 
 fn rows_response(result: sstore_sql::QueryResult) -> Response {
     Response::Rows {
-        columns: result.columns,
+        columns: result.columns.to_vec(),
         rows: result.rows,
         rows_affected: result.rows_affected as u64,
     }

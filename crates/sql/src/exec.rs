@@ -8,13 +8,14 @@
 //! them back, which is exactly H-Store's semantics (a failed SQL
 //! statement aborts the surrounding transaction).
 //!
-//! Determinism: scans iterate in row-id order and groups finish in
-//! ascending key order (the `finish` module), so identical inputs produce
-//! identical outputs — a prerequisite for command-log replay producing
+//! Determinism: scans iterate in row-id order and groups come out in
+//! ascending key order wherever ORDER BY leaves them tied (the `finish`
+//! module), so identical inputs produce identical outputs — a prerequisite for command-log replay producing
 //! identical state (§3.2.5).
 
 use std::borrow::Cow;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use sstore_common::hash::FxHashMap;
 
@@ -63,8 +64,9 @@ pub enum Effect {
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
-    /// Output column names (SELECT only).
-    pub columns: Vec<String>,
+    /// Output column names (SELECT only), shared with the statement's
+    /// plan.
+    pub columns: Arc<[String]>,
     /// Output rows (SELECT only).
     pub rows: Vec<Tuple>,
     /// Rows inserted/updated/deleted (mutations only).
@@ -344,7 +346,6 @@ pub fn run_select_rows_rowwise(
 
     // 4. Aggregation or plain projection, streamed through ORDER BY +
     // LIMIT.
-    let mut fin = Finisher::new(s);
     if s.grouped {
         let mut groups = Groups::new(s);
         let mut probe = Vec::with_capacity(s.group_by.len());
@@ -352,13 +353,14 @@ pub fn run_select_rows_rowwise(
             let ctx = EvalCtx { row, params, aggs: &[] };
             groups.feed_row(&ctx, &mut probe)?;
         }
-        groups.finish(&mut fin, params)?;
+        groups.finish(params)
     } else {
+        let mut fin = Finisher::new(s, params);
         for row in &rows {
-            fin.project(&EvalCtx { row, params, aggs: &[] })?;
+            fin.project(row)?;
         }
+        fin.finish()
     }
-    Ok(fin.finish())
 }
 
 /// Streaming aggregate accumulator. Fields are crate-visible so the
@@ -445,10 +447,11 @@ impl AggAcc {
         Ok(())
     }
 
-    /// Finalizes the accumulator for the spec it was fed with (MIN/MAX
-    /// move their value out). SUM/AVG/MIN/MAX over zero (non-NULL)
-    /// inputs yield NULL; COUNT yields 0.
-    pub(crate) fn finish_for(&mut self, spec: &AggSpec) -> Value {
+    /// The result of the accumulator for the spec it was fed with. It
+    /// leaves the accumulator as it is, so a top-K winner's results can
+    /// be read again when its tuple is built. SUM/AVG/MIN/MAX over zero
+    /// (non-NULL) inputs yield NULL; COUNT yields 0.
+    pub(crate) fn finish_for(&self, spec: &AggSpec) -> Value {
         match spec.func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => {
@@ -469,8 +472,8 @@ impl AggAcc {
                     Value::float(self.sum_f / self.count as f64)
                 }
             }
-            AggFunc::Min => self.min.take().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.take().unwrap_or(Value::Null),
+            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
+            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
         }
     }
 }
@@ -547,7 +550,7 @@ mod tests {
         let mut c = setup();
         let r = q(&mut c, "SELECT phone FROM votes WHERE contestant = 1 ORDER BY phone", &[]);
         assert_eq!(r.int_column(0).unwrap(), vec![100, 102, 104]);
-        assert_eq!(r.columns, vec!["phone"]);
+        assert_eq!(*r.columns, ["phone"]);
     }
 
     #[test]

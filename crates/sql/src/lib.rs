@@ -28,7 +28,8 @@
 //! statement stay on the row executor. Both executors finish results
 //! through one shared finisher (grouping state, HAVING, projection,
 //! ORDER BY / LIMIT), so results are bit-identical (same row-id scan
-//! order, groups finished in ascending key order) and command-log
+//! order; groups come out in ascending key order wherever ORDER BY
+//! leaves them tied) and command-log
 //! replay is unaffected; set `SSTORE_NO_COLUMNAR=1` to force the row
 //! path (used for before/after benchmarking).
 //!

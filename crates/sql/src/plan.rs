@@ -9,6 +9,8 @@
 //! the effect the paper leans on in §4.6.3 (vote validation is an index
 //! probe in S-Store but a scan in Spark Streaming).
 
+use std::sync::Arc;
+
 use sstore_common::{Error, Result, Schema, TableId};
 use sstore_storage::Catalog;
 
@@ -75,8 +77,8 @@ pub struct BoundSelect {
     /// via `Column(i)` (i-th group key) and aggregates via `AggRef(k)`;
     /// for plain queries they read the input row.
     pub projections: Vec<BoundExpr>,
-    /// Output column names.
-    pub output_names: Vec<String>,
+    /// Output column names, shared with every result of the statement.
+    pub output_names: Arc<[String]>,
     /// HAVING predicate (grouped queries only), same space as
     /// `projections` of a grouped query.
     pub having: Option<BoundExpr>,
@@ -352,7 +354,7 @@ impl<'a> Planner<'a> {
             group_by,
             aggs,
             projections,
-            output_names,
+            output_names: output_names.into(),
             having,
             order_by,
             limit: s.limit,
@@ -781,7 +783,7 @@ mod tests {
     fn wildcard_expands_in_scope_order() {
         match plan("SELECT * FROM votes JOIN contestants ON votes.contestant = contestants.id") {
             BoundStatement::Select(s) => {
-                assert_eq!(s.output_names, vec!["phone", "contestant", "ts", "id", "name"]);
+                assert_eq!(*s.output_names, ["phone", "contestant", "ts", "id", "name"]);
                 assert_eq!(s.input_arity, 5);
                 assert_eq!(s.joins[0].equi, vec![(1, 0)]);
             }

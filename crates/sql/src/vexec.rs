@@ -39,12 +39,16 @@
 //!   shared `Groups` slots (a single Int-typed key hashes raw `i64`s),
 //!   then aggregates accumulate column-at-a-time over the batch's
 //!   (row, slot) pairs, in ascending row order so float sums match the
-//!   row path. At the end the slots finish in ascending key order
-//!   through the same `Finisher` as the row path, so HAVING,
-//!   projection and emission order are the row path's;
+//!   row path. At the end the slots finish through the same `Groups`
+//!   code as the row path, so HAVING, projection and emission order are
+//!   the row path's;
 //! * **top-K**: non-grouped rows stream into the `Finisher` during
-//!   the scan. Under ORDER BY + LIMIT k it keeps a bounded heap, and a
-//!   row that does not enter it never builds its output tuple.
+//!   the scan, each with a reference to its borrowed table row. Under
+//!   ORDER BY + LIMIT k it keeps a bounded heap whose entries reference
+//!   their source rows; tuples are built for the winners, after the
+//!   scan. Sort keys that are bare columns are read from the row in
+//!   place, and only projections that can fail get a kernel here (so a
+//!   row that never wins still fails the statement).
 //!
 //! The one intentional divergence: when several subexpressions would
 //! each raise a runtime error, batch-at-a-time evaluation may surface a
@@ -68,7 +72,7 @@ use sstore_storage::{Catalog, TableKind};
 use crate::ast::{AggFunc, BinOp};
 use crate::batch::{self, Col, ColumnarBatch, FallbackReason, NullMask, SelVec, BATCH_CAPACITY};
 use crate::exec::AggAcc;
-use crate::finish::{Finisher, Groups};
+use crate::finish::{reads_in_place, Finisher, Groups};
 use crate::expr::{value_to_truth, AggSpec, BoundExpr, EvalCtx};
 use crate::plan::{Access, BoundSelect};
 
@@ -206,10 +210,23 @@ pub fn run_select_columnar(
     } else {
         Vec::new()
     };
-    let proj_kernels: Vec<EKernel> =
-        if !s.grouped { s.projections.iter().map(|e| compile_expr(e, &dtypes)).collect() } else { Vec::new() };
-    let sort_kernels: Vec<EKernel> = if !s.grouped {
-        s.order_by.iter().map(|(e, _)| compile_expr(e, &dtypes)).collect()
+    //
+    // Non-grouped rows stream into the finisher during the scan. Sort
+    // keys it reads in place from the row need no kernel. Under ORDER BY
+    // + LIMIT the finisher keeps row references and builds the winners'
+    // tuples from their rows after the scan, so only the projections
+    // that can fail run here: a row that never wins must still fail the
+    // statement.
+    let mut fin = Finisher::new(s, params);
+    let in_place = |e: &BoundExpr| reads_in_place(e, dtypes.len(), params);
+    let proj_kernels: Vec<EKernel> = if !s.grouped {
+        let defer = fin.selects_first();
+        s.projections.iter().filter(|e| !(defer && in_place(e))).map(|e| compile_expr(e, &dtypes)).collect()
+    } else {
+        Vec::new()
+    };
+    let sort_kernels: Vec<Option<EKernel>> = if !s.grouped {
+        s.order_by.iter().map(|(e, _)| (!in_place(e)).then(|| compile_expr(e, &dtypes))).collect()
     } else {
         Vec::new()
     };
@@ -231,16 +248,13 @@ pub fn run_select_columnar(
         .iter()
         .chain(agg_kernels.iter().flatten())
         .chain(&proj_kernels)
-        .chain(&sort_kernels)
+        .chain(sort_kernels.iter().flatten())
     {
         collect_expr_cols(k, &mut wanted);
     }
     wanted.sort_unstable();
     wanted.dedup();
 
-    // Non-grouped rows stream into the finisher during the scan, so a
-    // row outside the current top K never builds its output tuple.
-    let mut fin = Finisher::new(s);
     let mut accs: Vec<AggAcc> = if implicit { s.aggs.iter().map(AggAcc::new).collect() } else { Vec::new() };
     let mut groups = if grouped { Some(Groups::new(s)) } else { None };
     // Reused buffers: a row's sort key or group key, and the (row, slot)
@@ -323,24 +337,25 @@ pub fn run_select_columnar(
                 .iter()
                 .map(|k| eval_kernel(k, &b, &rows, params, &sel))
                 .collect::<Result<_>>()?;
-            let souts: Vec<VOut> = sort_kernels
+            let souts: Vec<Option<VOut>> = sort_kernels
                 .iter()
-                .map(|k| eval_kernel(k, &b, &rows, params, &sel))
+                .map(|ok| ok.as_ref().map(|k| eval_kernel(k, &b, &rows, params, &sel)).transpose())
                 .collect::<Result<_>>()?;
             for i in sel.iter_ones() {
                 key.clear();
-                key.extend(souts.iter().map(|o| o.value_at(i)));
-                fin.offer(&key, || Ok(Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect())))?;
+                key.extend(souts.iter().map(|o| o.as_ref().map_or(Value::Null, |o| o.value_at(i))));
+                fin.offer(rows[i], &key, || Ok(Tuple::new(pouts.iter().map(|o| o.value_at(i)).collect())))?;
             }
         }
     }
 
     if implicit {
-        fin.group(&[], &mut accs, params)?;
+        Groups::implicit(s, accs).finish(params)
     } else if let Some(g) = groups {
-        g.finish(&mut fin, params)?;
+        g.finish(params)
+    } else {
+        fin.finish()
     }
-    Ok(fin.finish())
 }
 
 /// Typed SUM/AVG/MIN/MAX accumulation over the selected rows of an

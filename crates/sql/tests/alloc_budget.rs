@@ -14,6 +14,14 @@
 //! the columnar executor (the test checks that its batch counter moves);
 //! the row executor shares the finisher and is held to the same
 //! ceilings.
+//!
+//! Two datasets fill the tables. In the uniform one, contestants and
+//! counts are uniformly random. The skewed one is drawn like the voter
+//! workload's votes (squared-uniform, so low contestant ids are the most
+//! popular): counts fall with the id, and `vote_counts` is scanned in id
+//! order, so `ORDER BY cnt ASC LIMIT 3` replaces its worst kept row on
+//! 83 of the 200 rows. That is the top-K's replacement path, which the
+//! uniform data hardly touches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,6 +69,8 @@ fn allocs() -> u64 {
 
 const CONTESTANTS: i64 = 200;
 const WINDOW: i64 = 100;
+/// Votes drawn for the skewed dataset's counts.
+const VOTES: usize = 65_000;
 
 /// Deterministic pseudo-random stream (64-bit LCG, high bits).
 struct Lcg(u64);
@@ -70,16 +80,29 @@ impl Lcg {
         self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((self.0 >> 33) % n as u64) as i64
     }
+
+    /// A contestant id, squared-uniform like the voter workload's votes
+    /// (low ids most popular).
+    fn skewed(&mut self) -> i64 {
+        let u = self.below(1 << 20) as f64 / (1 << 20) as f64;
+        1 + ((u * u) * CONTESTANTS as f64) as i64
+    }
 }
 
-fn setup() -> Catalog {
+/// Builds the tables from the uniform or the skewed dataset.
+fn setup(skew: bool) -> Catalog {
     let mut c = Catalog::new();
     let mut rng = Lcg(7);
+    let contestant = |rng: &mut Lcg| if skew { rng.skewed() } else { 1 + rng.below(CONTESTANTS) };
     let w = c
         .create_table("w_trend", TableKind::Window, Schema::of(&[("contestant", DataType::Int)]))
         .unwrap();
     for _ in 0..WINDOW {
-        w.insert(Tuple::new(vec![Value::Int(1 + rng.below(CONTESTANTS))])).unwrap();
+        w.insert(Tuple::new(vec![Value::Int(contestant(&mut rng))])).unwrap();
+    }
+    let mut counts = vec![0; CONTESTANTS as usize + 1];
+    for _ in 0..VOTES {
+        counts[contestant(&mut rng) as usize] += 1;
     }
     let vc = c
         .create_table(
@@ -89,7 +112,8 @@ fn setup() -> Catalog {
         )
         .unwrap();
     for id in 1..=CONTESTANTS {
-        vc.insert(Tuple::new(vec![Value::Int(id), Value::Int(rng.below(50))])).unwrap();
+        let cnt = if skew { counts[id as usize] } else { rng.below(50) };
+        vc.insert(Tuple::new(vec![Value::Int(id), Value::Int(cnt)])).unwrap();
     }
     c.create_table(
         "leaderboard",
@@ -121,8 +145,10 @@ fn max_allocs(c: &mut Catalog, clear: &BoundStatement, fill: &BoundStatement) ->
 }
 
 /// (name, clear, fill, ceiling). Ceilings leave some headroom over the
-/// measured counts (a few dozen each); before the shared finisher these
-/// statements made several hundred allocations per execution.
+/// measured counts (28–56). Before the shared result finisher these
+/// statements made several hundred allocations per execution; before
+/// the top-K kept row references instead of tuples, `fill_bottom` made
+/// 278–287 on the skewed dataset, one tuple build per replacement.
 const CASES: [(&str, &str, &str, u64); 3] = [
     (
         "fill_trend",
@@ -130,39 +156,64 @@ const CASES: [(&str, &str, &str, u64); 3] = [
         "INSERT INTO leaderboard (kind, contestant, cnt) \
          SELECT 'trend', contestant, COUNT(*) FROM w_trend \
          GROUP BY contestant ORDER BY COUNT(*) DESC, contestant LIMIT 3",
-        80,
+        64,
     ),
     (
         "fill_top",
         "DELETE FROM leaderboard WHERE kind = 'top'",
         "INSERT INTO leaderboard (kind, contestant, cnt) \
          SELECT 'top', contestant, cnt FROM vote_counts ORDER BY cnt DESC, contestant LIMIT 3",
-        80,
+        40,
     ),
     (
         "fill_bottom",
         "DELETE FROM leaderboard WHERE kind = 'bottom'",
         "INSERT INTO leaderboard (kind, contestant, cnt) \
          SELECT 'bottom', contestant, cnt FROM vote_counts ORDER BY cnt ASC, contestant LIMIT 3",
-        80,
+        40,
     ),
 ];
 
 #[test]
+fn skewed_counts_keep_replacing_the_ascending_top_3() {
+    let c = setup(true);
+    let t = c.get(c.id_of("vote_counts").unwrap());
+    let rows: Vec<(i64, i64)> =
+        t.scan_ordered().map(|(_, r)| (r.get(1).as_int().unwrap(), r.get(0).as_int().unwrap())).collect();
+    // Rows that enter `ORDER BY cnt ASC, contestant LIMIT 3` once it is
+    // full, i.e. replace its worst kept row.
+    let mut kept: Vec<(i64, i64)> = rows[..3].to_vec();
+    let mut entered = 0;
+    for &r in &rows[3..] {
+        kept.sort_unstable();
+        if r < kept[2] {
+            kept[2] = r;
+            entered += 1;
+        }
+    }
+    eprintln!("skewed vote_counts: {entered} replacements over {} rows", rows.len());
+    assert!(entered * 4 > rows.len(), "{entered} replacements over {} rows", rows.len());
+}
+
+#[test]
 fn leaderboard_refreshes_stay_within_allocation_budget() {
-    let mut c = setup();
     let mut over = Vec::new();
-    for rowwise in [false, true] {
-        vexec::force_rowwise(rowwise);
-        for (name, clear, fill, ceiling) in CASES {
-            let clear = Planner::new(&c).plan_sql(clear).unwrap();
-            let fill = Planner::new(&c).plan_sql(fill).unwrap();
-            let (n, batches) = max_allocs(&mut c, &clear, &fill);
-            // The two passes must measure different executors.
-            assert_eq!(batches > 0, !rowwise, "{name} rowwise={rowwise}: {batches} columnar batches");
-            eprintln!("{name} (rowwise={rowwise}): {n} allocations per execution (ceiling {ceiling})");
-            if n > ceiling {
-                over.push(format!("{name} rowwise={rowwise}: {n} > {ceiling}"));
+    for skew in [false, true] {
+        let mut c = setup(skew);
+        for rowwise in [false, true] {
+            vexec::force_rowwise(rowwise);
+            for (name, clear, fill, ceiling) in CASES {
+                let clear = Planner::new(&c).plan_sql(clear).unwrap();
+                let fill = Planner::new(&c).plan_sql(fill).unwrap();
+                let (n, batches) = max_allocs(&mut c, &clear, &fill);
+                // The two passes must measure different executors.
+                assert_eq!(batches > 0, !rowwise, "{name} rowwise={rowwise}: {batches} columnar batches");
+                eprintln!(
+                    "{name} (skew={skew}, rowwise={rowwise}): {n} allocations per execution (ceiling {ceiling})"
+                );
+                if n > ceiling {
+                    over.push(format!("{name} skew={skew} rowwise={rowwise}: {n} > {ceiling}"));
+                }
             }
         }
     }

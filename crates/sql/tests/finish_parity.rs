@@ -13,7 +13,12 @@
 //! the smaller group key (NULL first); HAVING filters before the limit;
 //! `LIMIT 0` and a limit past the row count behave; and an expression
 //! that fails in a row or group that would *not* make the cut still
-//! fails the statement.
+//! fails the statement. The top-K keeps references to its rows and
+//! builds the winners' tuples after the scan, so the cases also drive
+//! it where that matters: input in worst order (every row enters, most
+//! are evicted), ties on the first key, NULL and NaN keys at the cut,
+//! and groups, which it takes in first-seen order and ranks on ties by
+//! their keys.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -87,6 +92,30 @@ fn run(c: &Catalog, sql: &str) -> Option<Vec<Vec<Value>>> {
     }
 }
 
+/// Adds table `n` (`i` = row number, `x` a float cycling through NULL,
+/// NaNs, infinities, signed zeros and duplicates) for sort keys where
+/// `cmp_total` differs from naive float order.
+fn add_floats(c: &mut Catalog) -> Vec<(i64, Value)> {
+    let xs = [
+        Value::Null,
+        Value::Float(f64::NAN),
+        Value::Float(1.5),
+        Value::Float(-0.0),
+        Value::Float(f64::INFINITY),
+        Value::Float(0.0),
+        Value::Float(-f64::NAN),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(1.5),
+    ];
+    let schema = Schema::new(vec![Column::new("i", DataType::Int), Column::nullable("x", DataType::Float)]).unwrap();
+    let n = c.create_table("n", TableKind::Base, schema).unwrap();
+    let rows: Vec<(i64, Value)> = (0..ROWS).map(|i| (i, xs[(i * 5 % 9) as usize].clone())).collect();
+    for (i, x) in &rows {
+        n.insert(Tuple::new(vec![Value::Int(*i), x.clone()])).unwrap();
+    }
+    rows
+}
+
 fn ok(c: &Catalog, sql: &str) -> Vec<Vec<Value>> {
     run(c, sql).unwrap_or_else(|| panic!("statement failed: {sql}"))
 }
@@ -97,6 +126,10 @@ fn fails(c: &Catalog, sql: &str) {
 
 fn int(v: Option<i64>) -> Value {
     v.map_or(Value::Null, Value::Int)
+}
+
+fn float(v: Option<f64>) -> Value {
+    v.map_or(Value::Null, Value::Float)
 }
 
 /// `COUNT(*)` per `g`, ascending by key with NULL first (`None < Some`).
@@ -246,4 +279,128 @@ fn failing_sort_key_outside_the_cut_still_fails() {
     fails(&c, "SELECT g FROM t GROUP BY g ORDER BY 1 / (MAX(k) - 99) LIMIT 0");
     fails(&c, "SELECT k FROM t ORDER BY k, 1 / (k - 99) LIMIT 1");
     fails(&c, "SELECT k FROM t ORDER BY 1 / (k - 99) LIMIT 0");
+}
+
+#[test]
+fn every_row_enters_when_input_arrives_in_worst_order() {
+    let c = setup();
+    let rows = gen_rows();
+    // `k` ascends with the scan, so under `k DESC` each row is a new best
+    // and evicts the worst kept one.
+    let got = ok(&c, "SELECT k, s FROM t ORDER BY k DESC LIMIT 4");
+    let want: Vec<Vec<Value>> =
+        rows.iter().rev().take(4).map(|r| vec![Value::Int(r.k), Value::Text(r.s.into())]).collect();
+    assert_eq!(got, want);
+    // Groups are first seen in ascending `k` too.
+    let got = ok(&c, "SELECT k, COUNT(*), 'g' FROM t GROUP BY k ORDER BY k DESC LIMIT 3");
+    let want: Vec<Vec<Value>> =
+        (ROWS - 3..ROWS).rev().map(|k| vec![Value::Int(k), Value::Int(1), Value::Text("g".into())]).collect();
+    assert_eq!(got, want);
+    // Row and group k = 50 enter the top 3 and are evicted later: their
+    // failing projection still fails the statement.
+    fails(&c, "SELECT k, 10 / (k - 50) FROM t ORDER BY k DESC LIMIT 3");
+    fails(&c, "SELECT k, 10 / (MAX(k) - 50) FROM t GROUP BY k ORDER BY k DESC LIMIT 3");
+    // And rows that never enter fail it as well.
+    fails(&c, "SELECT k, 10 / (k - 50) FROM t ORDER BY k LIMIT 3");
+    fails(&c, "SELECT k, 10 / (MAX(k) - 50) FROM t GROUP BY k ORDER BY k LIMIT 3");
+}
+
+#[test]
+fn first_key_ties_fall_to_the_second_key_then_to_arrival() {
+    let c = setup();
+    let rows = gen_rows();
+    // `s` takes three values, so the first key ties on a third of the
+    // rows; `f DESC` (NULL last) decides next, then scan order.
+    let mut want: Vec<&Row> = rows.iter().collect();
+    want.sort_by(|a, b| a.s.cmp(b.s).then_with(|| float(b.f).cmp_total(&float(a.f))));
+    for k in [1usize, 2, 5, 12, 40] {
+        let got = ok(&c, &format!("SELECT k, s, f FROM t ORDER BY s, f DESC LIMIT {k}"));
+        let want: Vec<Vec<Value>> = want
+            .iter()
+            .take(k)
+            .map(|r| vec![Value::Int(r.k), Value::Text(r.s.into()), float(r.f)])
+            .collect();
+        assert_eq!(got, want, "LIMIT {k}");
+    }
+    // One key only: ties fall to scan order.
+    let got = ok(&c, "SELECT k FROM t ORDER BY s DESC LIMIT 5");
+    let want: Vec<Vec<Value>> = rows.iter().filter(|r| r.s == "z").take(5).map(|r| vec![Value::Int(r.k)]).collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn null_and_nan_sort_keys_at_the_cut() {
+    let mut c = setup();
+    let rows = add_floats(&mut c);
+    for (dir, flip) in [("ASC", false), ("DESC", true)] {
+        let mut want = rows.clone();
+        // Stable, so ties keep scan order.
+        want.sort_by(|a, b| {
+            let o = a.1.cmp_total(&b.1);
+            if flip {
+                o.reverse()
+            } else {
+                o
+            }
+        });
+        // Cuts that fall inside each run of equal keys, and between them.
+        for k in [1usize, 5, 9, 10, 11, 19, 23, 30, 45, 60, 99, 100] {
+            let got = ok(&c, &format!("SELECT i, x FROM n ORDER BY x {dir} LIMIT {k}"));
+            let want: Vec<Vec<Value>> = want.iter().take(k).map(|(i, x)| vec![Value::Int(*i), x.clone()]).collect();
+            assert_eq!(got.len(), want.len(), "x {dir} LIMIT {k}");
+            for (g, w) in got.iter().zip(&want) {
+                assert!(g[0] == w[0] && g[1].identical(&w[1]), "x {dir} LIMIT {k}: got {g:?}, want {w:?}");
+            }
+        }
+    }
+    // The same keys as groups (the two NaNs and the two zeros are four
+    // groups): most counts tie, and ties fall to ascending key order.
+    let all = ok(&c, "SELECT x, COUNT(*) AS m FROM n GROUP BY x ORDER BY m DESC");
+    for k in [1usize, 2, 4, 7, 20] {
+        let got = ok(&c, &format!("SELECT x, COUNT(*) AS m FROM n GROUP BY x ORDER BY m DESC LIMIT {k}"));
+        assert_eq!(got, all.iter().take(k).cloned().collect::<Vec<_>>(), "LIMIT {k}");
+    }
+}
+
+#[test]
+fn limit_one_zero_and_past_the_row_count_without_groups() {
+    let c = setup();
+    for base in ["SELECT k, g FROM t ORDER BY g DESC", "SELECT s, k * 2 FROM t ORDER BY f, s DESC"] {
+        let all = ok(&c, base);
+        assert_eq!(all.len(), ROWS as usize);
+        assert!(ok(&c, &format!("{base} LIMIT 0")).is_empty());
+        assert_eq!(ok(&c, &format!("{base} LIMIT 1")), all[..1]);
+        for k in [ROWS as usize, ROWS as usize + 1, 1000] {
+            assert_eq!(ok(&c, &format!("{base} LIMIT {k}")), all, "{base} LIMIT {k}");
+        }
+    }
+}
+
+#[test]
+fn grouped_ties_over_two_keys_fall_to_ascending_key_order() {
+    let c = setup();
+    // COUNT(*) per (g, s): keys ascend with NULL first, then text order.
+    let mut m: BTreeMap<(Option<i64>, &str), i64> = BTreeMap::new();
+    for r in gen_rows() {
+        *m.entry((r.g, r.s)).or_insert(0) += 1;
+    }
+    let mut want: Vec<((Option<i64>, &str), i64)> = m.into_iter().collect();
+    want.sort_by_key(|e| Reverse(e.1)); // stable: ties keep ascending key order
+    assert!(want.windows(2).filter(|w| w[0].1 == w[1].1).count() > 5, "needs ties");
+    for k in [1usize, 3, 6, 10, 25] {
+        let got = ok(&c, &format!("SELECT g, s, COUNT(*) AS n FROM t GROUP BY g, s ORDER BY n DESC LIMIT {k}"));
+        let want: Vec<Vec<Value>> = want
+            .iter()
+            .take(k)
+            .map(|((g, s), n)| vec![int(*g), Value::Text((*s).into()), Value::Int(*n)])
+            .collect();
+        assert_eq!(got, want, "LIMIT {k}");
+    }
+    // Ties with the key in reverse: the group key still breaks them
+    // ascending, after the sort keys.
+    let all = ok(&c, "SELECT s, g, COUNT(*) AS n FROM t GROUP BY s, g ORDER BY n, s DESC");
+    for k in [1usize, 4, 9] {
+        let got = ok(&c, &format!("SELECT s, g, COUNT(*) AS n FROM t GROUP BY s, g ORDER BY n, s DESC LIMIT {k}"));
+        assert_eq!(got, all[..k], "LIMIT {k}");
+    }
 }

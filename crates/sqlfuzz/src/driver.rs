@@ -254,7 +254,7 @@ fn diff(
 ) -> Option<String> {
     match (expected, actual) {
         (Ok(exp), Ok(act)) => {
-            if exp.columns != act.columns {
+            if *exp.columns != *act.columns {
                 return Some(format!(
                     "column names differ: reference {:?}, engine {:?}",
                     exp.columns, act.columns
